@@ -35,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzCompiledVsInterpreted -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzExplainCoreMinimal -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz=FuzzImpliesCachedVsCold -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/jobs
 
 # metrics-lint instantiates every metric family the server registers and

@@ -61,75 +61,145 @@ func Atoms(e Expr) []Atom {
 // no atoms have no root and return ("", nil). Mixed roots are an error:
 // Definition 3 requires all atoms of a constraint to share one root.
 func Root(e Expr) (string, error) {
-	root := ""
-	var err error
-	Walk(e, func(a Atom) {
-		r := a.Root()
-		switch {
-		case root == "":
-			root = r
-		case root != r && err == nil:
-			err = fmt.Errorf("constraint: mixed roots %q and %q in %s", root, r, e)
-		}
-	})
-	return root, err
+	return ValidateRoot(e, nil)
 }
 
 // Validate checks that e is a well-formed dimension constraint over g:
 // all atoms share a single root different from All; path atoms are simple
 // paths in g; all mentioned categories exist in g.
 func Validate(e Expr, g *schema.Schema) error {
-	root, err := Root(e)
-	if err != nil {
-		return err
+	_, err := ValidateRoot(e, g)
+	return err
+}
+
+// ValidateRoot is Validate and Root in one pass over e: it returns the
+// root of e, or the error Validate reports. A nil g skips the checks
+// against the schema (Root). The walk switches on the concrete atom
+// types instead of going through Walk, so a valid constraint is checked
+// without boxing its atoms into interfaces — the implication cache
+// validates every query on its hit path.
+func ValidateRoot(e Expr, g *schema.Schema) (string, error) {
+	v := validator{g: g}
+	v.walk(e)
+	switch {
+	case v.mixed:
+		return "", fmt.Errorf("constraint: mixed roots %q and %q in %s", v.root, v.other, e)
+	case g != nil && v.root == schema.All:
+		return "", fmt.Errorf("constraint: root All is not allowed (Definition 3): %s", e)
+	case v.err != nil:
+		return "", v.err
 	}
-	if root == schema.All {
-		return fmt.Errorf("constraint: root All is not allowed (Definition 3): %s", e)
+	return v.root, nil
+}
+
+// validator accumulates one ValidateRoot pass: the root of the first atom,
+// the first root disagreeing with it, and the first atom error.
+type validator struct {
+	g     *schema.Schema
+	root  string
+	other string
+	mixed bool
+	err   error
+}
+
+func (v *validator) atom(root string) {
+	switch {
+	case v.root == "":
+		v.root = root
+	case v.root != root && !v.mixed:
+		v.other, v.mixed = root, true
 	}
-	var firstErr error
-	check := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
+}
+
+func (v *validator) fail(err error) {
+	if v.err == nil {
+		v.err = err
+	}
+}
+
+// unknownCategory is the error for an atom a mentioning category c that
+// the schema lacks. Callers box a only on this failure path.
+func unknownCategory(c string, a Atom) error {
+	return fmt.Errorf("constraint: unknown category %q in %s", c, a)
+}
+
+func (v *validator) walk(e Expr) {
+	switch e := e.(type) {
+	case True, False:
+	case PathAtom:
+		v.atom(e.Root())
+		if v.g == nil {
+			return
 		}
-	}
-	Walk(e, func(a Atom) {
-		switch a := a.(type) {
-		case PathAtom:
-			if len(a.Cats) < 2 {
-				check(fmt.Errorf("constraint: path atom %s needs at least two categories", a))
-				return
-			}
-			if !g.IsSimplePath(a.Cats) {
-				check(fmt.Errorf("constraint: %s is not a simple path in schema %s", a, g.Name()))
-			}
-		case EqAtom:
-			if !g.HasCategory(a.Cat) {
-				check(fmt.Errorf("constraint: unknown category %q in %s", a.Cat, a))
-			}
-			if a.Val == "" {
-				check(fmt.Errorf("constraint: empty constant in %s", a))
-			}
-		case CmpAtom:
-			if !g.HasCategory(a.Cat) {
-				check(fmt.Errorf("constraint: unknown category %q in %s", a.Cat, a))
-			}
-			if math.IsNaN(a.Val) || math.IsInf(a.Val, 0) {
-				check(fmt.Errorf("constraint: non-finite constant in %s", a))
-			}
-		case RollupAtom:
-			if !g.HasCategory(a.Cat) {
-				check(fmt.Errorf("constraint: unknown category %q in %s", a.Cat, a))
-			}
-		case ThroughAtom:
-			if !g.HasCategory(a.Via) {
-				check(fmt.Errorf("constraint: unknown category %q in %s", a.Via, a))
-			}
-			if !g.HasCategory(a.Cat) {
-				check(fmt.Errorf("constraint: unknown category %q in %s", a.Cat, a))
-			}
+		if len(e.Cats) < 2 {
+			v.fail(fmt.Errorf("constraint: path atom %s needs at least two categories", e))
+		} else if !v.g.IsSimplePath(e.Cats) {
+			v.fail(fmt.Errorf("constraint: %s is not a simple path in schema %s", e, v.g.Name()))
 		}
-	})
-	return firstErr
+	case EqAtom:
+		v.atom(e.RootCat)
+		if v.g == nil {
+			return
+		}
+		if !v.g.HasCategory(e.Cat) {
+			v.fail(unknownCategory(e.Cat, e))
+		}
+		if e.Val == "" {
+			v.fail(fmt.Errorf("constraint: empty constant in %s", e))
+		}
+	case CmpAtom:
+		v.atom(e.RootCat)
+		if v.g == nil {
+			return
+		}
+		if !v.g.HasCategory(e.Cat) {
+			v.fail(unknownCategory(e.Cat, e))
+		}
+		if math.IsNaN(e.Val) || math.IsInf(e.Val, 0) {
+			v.fail(fmt.Errorf("constraint: non-finite constant in %s", e))
+		}
+	case RollupAtom:
+		v.atom(e.RootCat)
+		if v.g != nil && !v.g.HasCategory(e.Cat) {
+			v.fail(unknownCategory(e.Cat, e))
+		}
+	case ThroughAtom:
+		v.atom(e.RootCat)
+		if v.g == nil {
+			return
+		}
+		if !v.g.HasCategory(e.Via) {
+			v.fail(unknownCategory(e.Via, e))
+		}
+		if !v.g.HasCategory(e.Cat) {
+			v.fail(unknownCategory(e.Cat, e))
+		}
+	case Not:
+		v.walk(e.X)
+	case And:
+		v.walkAll(e.Xs)
+	case Or:
+		v.walkAll(e.Xs)
+	case One:
+		v.walkAll(e.Xs)
+	case Implies:
+		v.walk(e.A)
+		v.walk(e.B)
+	case Iff:
+		v.walk(e.A)
+		v.walk(e.B)
+	case Xor:
+		v.walk(e.A)
+		v.walk(e.B)
+	default:
+		panic("constraint: unknown expression type")
+	}
+}
+
+func (v *validator) walkAll(xs []Expr) {
+	for _, x := range xs {
+		v.walk(x)
+	}
 }
 
 // Expand rewrites composed atoms (rollup and through) into the Boolean

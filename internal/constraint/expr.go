@@ -210,33 +210,140 @@ func (Iff) prec() int         { return precIff }
 func (Xor) prec() int         { return precXor }
 func (One) prec() int         { return precAtom }
 
-// wrap renders child with parentheses when its precedence is at most the
-// parent's (strict nesting keeps right-associativity of -> readable).
-func wrap(parent int, child Expr) string {
+func (True) String() string          { return render(True{}) }
+func (False) String() string         { return render(False{}) }
+func (a PathAtom) String() string    { return render(a) }
+func (a EqAtom) String() string      { return render(a) }
+func (a CmpAtom) String() string     { return render(a) }
+func (a RollupAtom) String() string  { return render(a) }
+func (a ThroughAtom) String() string { return render(a) }
+func (n Not) String() string         { return render(n) }
+func (a And) String() string         { return render(a) }
+func (o Or) String() string          { return render(o) }
+func (i Implies) String() string     { return render(i) }
+func (i Iff) String() string         { return render(i) }
+func (x Xor) String() string         { return render(x) }
+func (o One) String() string         { return render(o) }
+
+// render is the String form of e: the whole tree is written into one
+// builder, so rendering is linear in the size of the output however
+// deeply e nests.
+func render(e Expr) string {
+	var b strings.Builder
+	write(&b, e)
+	return b.String()
+}
+
+// write appends the rendering of e to b.
+func write(b *strings.Builder, e Expr) {
+	switch e := e.(type) {
+	case True:
+		b.WriteString("true")
+	case False:
+		b.WriteString("false")
+	case PathAtom:
+		for i, c := range e.Cats {
+			if i > 0 {
+				b.WriteByte('_')
+			}
+			b.WriteString(c)
+		}
+	case EqAtom:
+		writeQualified(b, e.RootCat, e.Cat)
+		b.WriteByte('=')
+		writeConst(b, e.Val)
+	case CmpAtom:
+		// The numeric constant uses the shortest decimal representation.
+		writeQualified(b, e.RootCat, e.Cat)
+		b.WriteString(e.Op.String())
+		b.WriteString(FormatNum(e.Val))
+	case RollupAtom:
+		b.WriteString(e.RootCat)
+		b.WriteByte('.')
+		b.WriteString(e.Cat)
+	case ThroughAtom:
+		b.WriteString(e.RootCat)
+		b.WriteByte('.')
+		b.WriteString(e.Via)
+		b.WriteByte('.')
+		b.WriteString(e.Cat)
+	case Not:
+		b.WriteByte('!')
+		writeWrapped(b, precNot-1, e.X)
+	case And:
+		writeJoined(b, " & ", "true", precAnd, e.Xs)
+	case Or:
+		writeJoined(b, " | ", "false", precOr, e.Xs)
+	case Implies:
+		// Right associative: a -> b -> c parses as a -> (b -> c).
+		writeWrapped(b, precImplies, e.A)
+		b.WriteString(" -> ")
+		writeWrapped(b, precImplies-1, e.B)
+	case Iff:
+		writeWrapped(b, precIff, e.A)
+		b.WriteString(" <-> ")
+		writeWrapped(b, precIff, e.B)
+	case Xor:
+		writeWrapped(b, precXor, e.A)
+		b.WriteString(" ^ ")
+		writeWrapped(b, precXor, e.B)
+	case One:
+		b.WriteString("one(")
+		for i, x := range e.Xs {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			write(b, x)
+		}
+		b.WriteByte(')')
+	default:
+		panic("constraint: unknown expression type")
+	}
+}
+
+// writeQualified writes the category reference of an equality or order
+// atom: root.cat, or just root when cat is the root itself.
+func writeQualified(b *strings.Builder, root, cat string) {
+	b.WriteString(root)
+	if cat != root {
+		b.WriteByte('.')
+		b.WriteString(cat)
+	}
+}
+
+// writeWrapped writes child, parenthesized when its precedence is at most
+// the parent's (strict nesting keeps right-associativity of -> readable).
+func writeWrapped(b *strings.Builder, parent int, child Expr) {
 	if child.prec() <= parent {
-		return "(" + child.String() + ")"
+		b.WriteByte('(')
+		write(b, child)
+		b.WriteByte(')')
+		return
 	}
-	return child.String()
+	write(b, child)
 }
 
-func (True) String() string  { return "true" }
-func (False) String() string { return "false" }
-
-func (a PathAtom) String() string { return strings.Join(a.Cats, "_") }
-
-func (a EqAtom) String() string {
-	if a.Cat == a.RootCat {
-		return a.RootCat + "=" + quoteConst(a.Val)
+// writeJoined writes an n-ary operator, parenthesizing children of equal
+// or lower precedence so that a directly nested And/Or keeps its
+// structure when re-parsed (the parser builds flat n-ary nodes).
+func writeJoined(b *strings.Builder, op, empty string, parent int, xs []Expr) {
+	if len(xs) == 0 {
+		b.WriteString(empty)
+		return
 	}
-	return a.RootCat + "." + a.Cat + "=" + quoteConst(a.Val)
+	for i, x := range xs {
+		if i > 0 {
+			b.WriteString(op)
+		}
+		writeWrapped(b, parent, x)
+	}
 }
 
-// quoteConst renders a string constant with exactly the escapes the lexer
+// writeConst writes a string constant with exactly the escapes the lexer
 // understands: a backslash before '"', '\\' and newline; every other byte
 // is emitted raw (the grammar's escape rule is "backslash makes the next
 // byte literal", unlike Go's %q which invents \xNN forms).
-func quoteConst(s string) string {
-	var b strings.Builder
+func writeConst(b *strings.Builder, s string) {
 	b.WriteByte('"')
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -246,67 +353,11 @@ func quoteConst(s string) string {
 		b.WriteByte(c)
 	}
 	b.WriteByte('"')
-	return b.String()
-}
-
-// String renders the order atom; the numeric constant uses the shortest
-// decimal representation.
-func (a CmpAtom) String() string {
-	if a.Cat == a.RootCat {
-		return fmt.Sprintf("%s%s%s", a.RootCat, a.Op, FormatNum(a.Val))
-	}
-	return fmt.Sprintf("%s.%s%s%s", a.RootCat, a.Cat, a.Op, FormatNum(a.Val))
 }
 
 // FormatNum renders a numeric constant the way the parser reads it:
 // plain decimal notation (the grammar has no exponent form).
 func FormatNum(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
-
-func (a RollupAtom) String() string { return a.RootCat + "." + a.Cat }
-
-func (a ThroughAtom) String() string {
-	return a.RootCat + "." + a.Via + "." + a.Cat
-}
-
-func (n Not) String() string { return "!" + wrap(precNot-1, n.X) }
-
-// joinExprs renders an n-ary operator, parenthesizing children of equal or
-// lower precedence so that a directly nested And/Or keeps its structure
-// when re-parsed (the parser builds flat n-ary nodes).
-func joinExprs(op string, empty string, parent int, xs []Expr) string {
-	if len(xs) == 0 {
-		return empty
-	}
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = wrap(parent, x)
-	}
-	return strings.Join(parts, op)
-}
-
-func (a And) String() string { return joinExprs(" & ", "true", precAnd, a.Xs) }
-func (o Or) String() string  { return joinExprs(" | ", "false", precOr, o.Xs) }
-
-func (i Implies) String() string {
-	// Right associative: a -> b -> c parses as a -> (b -> c).
-	return wrap(precImplies, i.A) + " -> " + wrap(precImplies-1, i.B)
-}
-
-func (i Iff) String() string {
-	return wrap(precIff, i.A) + " <-> " + wrap(precIff, i.B)
-}
-
-func (x Xor) String() string {
-	return wrap(precXor, x.A) + " ^ " + wrap(precXor, x.B)
-}
-
-func (o One) String() string {
-	parts := make([]string, len(o.Xs))
-	for i, x := range o.Xs {
-		parts[i] = x.String()
-	}
-	return "one(" + strings.Join(parts, ", ") + ")"
-}
 
 // Equal reports structural equality of two expressions.
 func Equal(a, b Expr) bool {

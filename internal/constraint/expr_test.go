@@ -1,7 +1,9 @@
 package constraint
 
 import (
+	"math"
 	"testing"
+	"time"
 )
 
 func TestAtomStrings(t *testing.T) {
@@ -109,4 +111,49 @@ func TestRoot(t *testing.T) {
 	if r, err := Root(Implies{A: EqAtom{"A", "X", "k"}, B: RollupAtom{"A", "Y"}}); err != nil || r != "A" {
 		t.Errorf("Root = %q, %v", r, err)
 	}
+}
+
+// nestedExpr builds a constraint depth connectives deep, cycling through
+// a negation, a conjunction and a disjunction with one more atom.
+func nestedExpr(depth int) Expr {
+	e := Expr(pa)
+	for i := 0; i < depth; i++ {
+		switch i % 3 {
+		case 0:
+			e = Not{X: e}
+		case 1:
+			e = NewAnd(e, pb)
+		default:
+			e = NewOr(e, pa)
+		}
+	}
+	return e
+}
+
+// TestRenderLinearInDepth doubles the nesting depth of a constraint and
+// requires the render time to at most about double with it: a renderer
+// that concatenates child strings per level copies the subtree's text
+// once per enclosing level, which is quadratic and quadruples instead.
+// Timings are the best of several runs, and a noisy attempt is retried.
+func TestRenderLinearInDepth(t *testing.T) {
+	small, big := nestedExpr(2000), nestedExpr(4000)
+	best := func(e Expr) time.Duration {
+		min := time.Duration(math.MaxInt64)
+		for i := 0; i < 15; i++ {
+			start := time.Now()
+			_ = e.String()
+			if d := time.Since(start); d < min {
+				min = d
+			}
+		}
+		return min
+	}
+	var ratio float64
+	for attempt := 0; attempt < 3; attempt++ {
+		ratio = float64(best(big)) / float64(best(small))
+		if ratio <= 2.5 {
+			return
+		}
+	}
+	t.Fatalf("doubling the depth multiplied the render time by %.2f, want at most 2.5", ratio)
 }

@@ -7,8 +7,8 @@ import (
 	"sync"
 )
 
-// SatCache memoizes satisfiability results across DIMSAT calls, keyed by
-// (schema fingerprint, root category). It is safe for concurrent use and
+// SatCache memoizes satisfiability and implication verdicts across DIMSAT
+// calls (see satCacheKey for the keys). It is safe for concurrent use and
 // deduplicates in-flight work: concurrent calls for the same key block on
 // a single search instead of racing to repeat it, so repeated roots are
 // solved once across a summarizability matrix and across HTTP requests.
@@ -29,8 +29,8 @@ import (
 type SatCache struct {
 	mu      sync.Mutex
 	entries map[satCacheKey]*satCacheEntry
-	// order lists completed (retained) entries oldest-first; in-flight
-	// singleflight slots are not in it.
+	// order lists completed (retained) entries oldest-first for a bounded
+	// cache; in-flight singleflight slots are not in it.
 	order     []satCacheKey
 	max       int // 0 = unbounded
 	hits      uint64
@@ -42,8 +42,16 @@ type SatCache struct {
 	work Stats
 }
 
+// satCacheKey identifies one verdict. A satisfiability query keys on the
+// schema fingerprint and the root category with a zero alpha; a Theorem 2
+// implication ds ⊨ α keys on ds's fingerprint, the SHA-256 of α's
+// rendering and α's root, so a lookup never renders or hashes the
+// negation schema. root is the schema's own copy of the category name
+// (schema.Schema.Intern), never a substring of a request, so a retained
+// key pins no request body.
 type satCacheKey struct {
 	schema string
+	alpha  [sha256.Size]byte
 	root   string
 }
 
@@ -109,106 +117,82 @@ func (c *SatCache) Stats() CacheStats {
 	}
 }
 
-// satisfiable answers (fingerprint, root) from the cache, running
-// compute under singleflight on a miss. The caller supplies the schema
-// fingerprint so callers holding a Compiled schema reuse its memoized
-// hash instead of re-hashing per lookup. A compute that fails is not
+// lookup answers key from the cache, running compute under singleflight
+// on a miss. A hit takes the mutex once. A compute that fails is not
 // cached and wakes any waiters to retry (they may carry larger budgets);
 // a waiter whose own context expires returns its ctx.Err without waiting
 // further.
-func (c *SatCache) satisfiable(ctx context.Context, fingerprint, root string, compute func() (Result, error)) (Result, error) {
-	key := satCacheKey{schema: fingerprint, root: root}
+func (c *SatCache) lookup(ctx context.Context, key satCacheKey, compute func() (Result, error)) (Result, error) {
 	for {
 		c.mu.Lock()
-		if e, ok := c.entries[key]; ok {
+		e, ok := c.entries[key]
+		if !ok {
+			e = &satCacheEntry{done: make(chan struct{})}
+			c.entries[key] = e
 			c.mu.Unlock()
-			select {
-			case <-e.done:
-			default:
-				// The entry is still computing: this call coalesces onto the
-				// in-flight search.
-				c.mu.Lock()
-				c.coalesced++
-				c.mu.Unlock()
-				select {
-				case <-e.done:
-				case <-ctx.Done():
-					return Result{}, ctx.Err()
-				}
-			}
-			if e.err == nil {
-				c.mu.Lock()
-				c.hits++
-				c.mu.Unlock()
-				// The memoized verdict with zero Stats: this request did no
-				// search work (see the type comment).
-				res := e.res
-				res.Stats = Stats{}
-				return res, nil
-			}
-			// The computing call failed and removed its entry before
-			// closing done; retry under our own budget.
-			continue
+			return c.fill(key, e, compute)
 		}
-		e := &satCacheEntry{done: make(chan struct{})}
-		c.entries[key] = e
-		c.mu.Unlock()
-
-		res, err := runCompute(compute)
-		c.mu.Lock()
-		if err != nil {
-			delete(c.entries, key)
-		} else {
-			c.misses++
-			c.work.Add(res.Stats)
-			c.retain(key)
+		select {
+		case <-e.done:
+			// A retained entry is complete and successful: failed computes
+			// remove their entry before closing done.
+			c.hits++
+			c.mu.Unlock()
+			return hitResult(e.res), nil
+		default:
 		}
+		// The entry is still computing: this call coalesces onto the
+		// in-flight search.
+		c.coalesced++
 		c.mu.Unlock()
-		e.res, e.err = res, err
-		close(e.done)
-		return res, err
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			return Result{}, ctx.Err()
+		}
+		if e.err == nil {
+			c.mu.Lock()
+			c.hits++
+			c.mu.Unlock()
+			return hitResult(e.res), nil
+		}
+		// The computing call failed and removed its entry before closing
+		// done; retry under our own budget.
 	}
 }
 
-// peek reports the memoized result for (fingerprint, root) when a
-// completed successful entry exists, without blocking on in-flight
-// computes. ImpliesContext uses it to skip per-call work that only pays
-// off when the search actually runs (deriving the compiled negation
-// schema); a peek hit counts as a cache hit, exactly like answering
-// through satisfiable.
-func (c *SatCache) peek(fingerprint, root string) (Result, bool) {
-	key := satCacheKey{schema: fingerprint, root: root}
+// fill runs compute for the in-flight entry e of key and publishes the
+// outcome to its waiters.
+func (c *SatCache) fill(key satCacheKey, e *satCacheEntry, compute func() (Result, error)) (Result, error) {
+	res, err := runCompute(compute)
 	c.mu.Lock()
-	e, ok := c.entries[key]
+	if err != nil {
+		delete(c.entries, key)
+	} else {
+		c.misses++
+		c.work.Add(res.Stats)
+		c.retain(key)
+	}
 	c.mu.Unlock()
-	if !ok {
-		return Result{}, false
-	}
-	select {
-	case <-e.done:
-	default:
-		// Still computing: fall through to the singleflight path, which
-		// coalesces onto the in-flight search.
-		return Result{}, false
-	}
-	if e.err != nil {
-		return Result{}, false
-	}
-	c.mu.Lock()
-	c.hits++
-	c.mu.Unlock()
-	res := e.res
+	e.res, e.err = res, err
+	close(e.done)
+	return res, err
+}
+
+// hitResult is a memoized verdict with zero Stats: the request it answers
+// did no search work (see the type comment).
+func hitResult(res Result) Result {
 	res.Stats = Stats{}
-	return res, true
+	return res
 }
 
 // retain records a completed entry in FIFO order and evicts past the
 // size bound; the caller holds c.mu.
 func (c *SatCache) retain(key satCacheKey) {
-	c.order = append(c.order, key)
 	if c.max <= 0 {
 		return
 	}
+	c.order = append(c.order, key)
 	for len(c.order) > c.max {
 		oldest := c.order[0]
 		c.order = c.order[1:]

@@ -252,28 +252,3 @@ func TestSatCacheWaiterCancellationNoLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
-
-// TestNegFingerprintMatchesSchemaFingerprint pins the incremental
-// fingerprint used by the ImpliesContext cache peek to the canonical one:
-// a divergence would make every peek miss silently and re-derive.
-func TestNegFingerprintMatchesSchemaFingerprint(t *testing.T) {
-	ds := parse(t, diamondSrc+"constraint !A_D\nconstraint A_B -> A_C\n")
-	cs, err := Compile(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alpha := range ds.Sigma {
-		neg, _, _, decided, err := ImpliesReduction(ds, alpha)
-		if err != nil || decided {
-			t.Fatalf("reduction: err=%v decided=%v", err, decided)
-		}
-		got := cs.negFingerprint(neg.Sigma[len(neg.Sigma)-1])
-		if want := schemaFingerprint(neg); got != want {
-			t.Fatalf("negFingerprint %s != schemaFingerprint %s", got, want)
-		}
-		// The second call answers from the per-alpha cache.
-		if again := cs.negFingerprint(neg.Sigma[len(neg.Sigma)-1]); again != got {
-			t.Fatalf("cached negFingerprint diverged: %s vs %s", again, got)
-		}
-	}
-}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sync"
@@ -45,17 +44,8 @@ type Compiled struct {
 	sigmaFor [][]int32 // root id -> indexes into sigma relevant for that root
 	consts   map[string][]string
 
-	fpOnce  sync.Once
-	fp      string
-	srcText string // rendered source text, populated with fp
-
-	// Fingerprints of derived (negated implication) schemas, keyed by the
-	// extra constraint's string form and evicted FIFO. Kept separate from
-	// the derived-schema cache so fingerprint lookups (cache peeks) never
-	// force a compile.
-	negMu    sync.Mutex
-	negFP    map[string]string
-	negOrder []string
+	fpOnce sync.Once
+	fp     string
 
 	met *compileCounters
 
@@ -238,51 +228,9 @@ func (cs *Compiled) Source() *DimensionSchema { return cs.src }
 // Fingerprint(cs.Source())), computed once and cached.
 func (cs *Compiled) Fingerprint() string {
 	cs.fpOnce.Do(func() {
-		cs.srcText = cs.src.String()
-		sum := sha256.Sum256([]byte(cs.srcText))
-		cs.fp = hex.EncodeToString(sum[:])
+		cs.fp = schemaFingerprint(cs.src)
 	})
 	return cs.fp
-}
-
-// negFingerprint returns Fingerprint(neg) for the schema obtained by
-// appending extra to Σ — the Theorem 2 reduction schema — without
-// re-rendering the whole schema: neg renders as the source text plus one
-// constraint line, so the hash runs over the cached rendering and the
-// line. ImpliesContext uses it to peek the satisfiability cache before
-// deciding whether a derive (compile) is needed at all. Results are
-// cached per extra-constraint string with FIFO eviction.
-func (cs *Compiled) negFingerprint(extra constraint.Expr) string {
-	key := extra.String()
-	cs.negMu.Lock()
-	if fp, ok := cs.negFP[key]; ok {
-		cs.negMu.Unlock()
-		return fp
-	}
-	cs.negMu.Unlock()
-
-	cs.Fingerprint() // populate srcText
-	h := sha256.New()
-	h.Write([]byte(cs.srcText))
-	h.Write([]byte("constraint "))
-	h.Write([]byte(key))
-	h.Write([]byte("\n"))
-	fp := hex.EncodeToString(h.Sum(nil))
-
-	cs.negMu.Lock()
-	if _, dup := cs.negFP[key]; !dup {
-		if cs.negFP == nil {
-			cs.negFP = map[string]string{}
-		}
-		cs.negFP[key] = fp
-		cs.negOrder = append(cs.negOrder, key)
-		for len(cs.negOrder) > deriveCacheMax {
-			delete(cs.negFP, cs.negOrder[0])
-			cs.negOrder = cs.negOrder[1:]
-		}
-	}
-	cs.negMu.Unlock()
-	return fp
 }
 
 // Stats snapshots the compiled schema's shape and compile activity.
@@ -302,9 +250,9 @@ func (cs *Compiled) Stats() CompiledStats {
 // Derive compiles the schema obtained by appending extra to Σ, reusing
 // the interned graph and closure (which only depend on G). The derived
 // schema's Source() is content-identical to the negated schema built by
-// ImpliesReduction, so fingerprints — and therefore cache and checkpoint
-// keys — agree with the interpreted implication path. Results are cached
-// per extra-constraint string with FIFO eviction.
+// ImpliesReduction, so its fingerprint — computed lazily, for checkpoint
+// pins only — agrees with the interpreted implication path. Results are
+// cached per extra-constraint string with FIFO eviction.
 func (cs *Compiled) Derive(extra constraint.Expr) (*Compiled, error) {
 	key := extra.String()
 	if d, ok := cs.deriveLookup(key); ok {
@@ -430,6 +378,9 @@ func (cs *Compiled) deriveSigma(key string, sigma []constraint.Expr) (*Compiled,
 	cs.deriveOrder = append(cs.deriveOrder, key)
 	for len(cs.deriveOrder) > cs.deriveMax {
 		victim := cs.deriveOrder[0]
+		// Clear the slot: the backing array outlives the reslice, and an
+		// evicted key is a whole constraint rendering.
+		cs.deriveOrder[0] = ""
 		cs.deriveOrder = cs.deriveOrder[1:]
 		delete(cs.derived, victim)
 		cs.met.evictions.Add(1)

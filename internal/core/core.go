@@ -67,8 +67,12 @@ func (ds *DimensionSchema) String() string {
 // bottom category cb: cb.c ⊃ ⊙_{ci ∈ S} cb.ci.c. A category c is
 // summarizable from S iff this constraint holds for every bottom category.
 func SummarizabilityConstraint(cb, c string, S []string) constraint.Expr {
-	ss := append([]string(nil), S...)
-	sort.Strings(ss)
+	return summarizabilityConstraint(cb, c, sortedCopy(S))
+}
+
+// summarizabilityConstraint is SummarizabilityConstraint over an already
+// sorted source set ss.
+func summarizabilityConstraint(cb, c string, ss []string) constraint.Expr {
 	xs := make([]constraint.Expr, len(ss))
 	for i, ci := range ss {
 		xs[i] = constraint.ThroughAtom{RootCat: cb, Via: ci, Cat: c}
@@ -77,4 +81,11 @@ func SummarizabilityConstraint(cb, c string, S []string) constraint.Expr {
 		A: constraint.RollupAtom{RootCat: cb, Cat: c},
 		B: constraint.One{Xs: xs},
 	}
+}
+
+// sortedCopy returns S sorted, leaving S untouched.
+func sortedCopy(S []string) []string {
+	ss := append([]string(nil), S...)
+	sort.Strings(ss)
+	return ss
 }

@@ -52,7 +52,8 @@ type Options struct {
 	// Lint): 0 means GOMAXPROCS, 1 forces serial execution.
 	Parallelism int
 	// Cache, when non-nil, memoizes satisfiability results across calls,
-	// keyed by (schema fingerprint, root category). Safe for concurrent
+	// keyed by (schema fingerprint, root category), and implication
+	// verdicts, keyed by (schema fingerprint, α, root). Safe for concurrent
 	// use; share one cache across goroutines and requests to solve
 	// repeated roots once.
 	Cache *SatCache
@@ -193,10 +194,11 @@ func Satisfiable(ds *DimensionSchema, c string, opts Options) (Result, error) {
 // search is recovered and returned as an *InternalError (ErrInternal).
 func SatisfiableContext(ctx context.Context, ds *DimensionSchema, c string, opts Options) (_ Result, err error) {
 	defer recoverAsInternal(&err)
-	if !ds.G.HasCategory(c) {
+	root, ok := ds.G.Intern(c)
+	if !ok {
 		return Result{}, fmt.Errorf("core: unknown category %q", c)
 	}
-	if c == schema.All {
+	if root == schema.All {
 		// Proposition 1: the trivial instance witnesses satisfiability.
 		g := frozen.NewSubhierarchy(schema.All)
 		res := Result{Satisfiable: true, Witness: &frozen.Frozen{G: g, Assign: frozen.Assignment{}}}
@@ -211,23 +213,33 @@ func SatisfiableContext(ctx context.Context, ds *DimensionSchema, c string, opts
 	}
 	ctx, cancel := withOptionsDeadline(ctx, opts)
 	defer cancel()
-	if opts.Cache != nil && opts.Tracer == nil && !opts.Provenance {
+	if cached(opts) {
 		if err := opts.Faults.Hit(faults.SiteCacheLookup); err != nil {
 			return Result{}, fmt.Errorf("core: sat-cache: %w", err)
 		}
-		// The compiled form memoizes the fingerprint, hoisting the
-		// per-lookup schema hash of the interpreted path.
-		fp := ""
-		if cs != nil {
-			fp = cs.Fingerprint()
-		} else {
-			fp = schemaFingerprint(ds)
-		}
-		return opts.Cache.satisfiable(ctx, fp, c, func() (Result, error) {
-			return runSatisfiable(ctx, ds, c, opts)
+		key := satCacheKey{schema: fingerprintOf(ds, cs), root: root}
+		return opts.Cache.lookup(ctx, key, func() (Result, error) {
+			return runSatisfiable(ctx, ds, root, opts)
 		})
 	}
-	return runSatisfiable(ctx, ds, c, opts)
+	return runSatisfiable(ctx, ds, root, opts)
+}
+
+// cached reports whether a call under opts goes through the shared
+// cache: traced and provenance-enabled runs bypass it, since a hit would
+// skip the steps they observe.
+func cached(opts Options) bool {
+	return opts.Cache != nil && opts.Tracer == nil && !opts.Provenance
+}
+
+// fingerprintOf is the cache fingerprint of ds. The compiled form
+// memoizes it, hoisting the per-lookup schema hash of the interpreted
+// path.
+func fingerprintOf(ds *DimensionSchema, cs *Compiled) string {
+	if cs != nil {
+		return cs.Fingerprint()
+	}
+	return schemaFingerprint(ds)
 }
 
 // runSatisfiable executes one uncached DIMSAT search on whichever engine

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 
 	"olapdim/internal/constraint"
+	"olapdim/internal/faults"
 	"olapdim/internal/instance"
 	"olapdim/internal/schema"
 )
@@ -25,47 +27,80 @@ func Implies(ds *DimensionSchema, alpha constraint.Expr, opts Options) (bool, Re
 // underlying DIMSAT run aborts within one EXPAND step of cancellation,
 // returning ctx.Err() or ErrBudgetExceeded with the partial Stats in the
 // Result.
+//
+// With opts.Cache set (and no Tracer or Provenance) the verdict is
+// memoized under one key computed up front: ds's fingerprint, the SHA-256
+// of alpha's rendering and alpha's interned root. The negation schema is
+// built — and, on the compiled engine, derived — only on a miss, inside
+// the singleflight compute, so a hit costs one validation walk, one
+// render and one hash of alpha.
 func ImpliesContext(ctx context.Context, ds *DimensionSchema, alpha constraint.Expr, opts Options) (_ bool, _ Result, err error) {
 	defer recoverAsInternal(&err)
-	neg, root, verdict, decided, err := ImpliesReduction(ds, alpha)
+	root, err := constraint.ValidateRoot(alpha, ds.G)
 	if err != nil {
 		return false, Result{}, err
 	}
-	if decided {
-		return verdict, Result{}, nil
+	if root == "" {
+		return constraint.Eval(alpha, nil), Result{}, nil
 	}
-	if opts.Compiled != nil {
-		cs, cerr := compiledFor(ds, opts)
-		if cerr != nil {
-			return false, Result{}, cerr
-		}
-		// A cached verdict needs no search, so deriving the compiled neg
-		// schema up front would waste a compile on every hit; peek the
-		// cache and derive only when a search will actually run. Traced
-		// and provenance-enabled runs bypass the cache and fault-armed
-		// runs must reach the injected cache-lookup site, so all three
-		// take the straight path.
-		if opts.Cache != nil && opts.Tracer == nil && opts.Faults == nil && !opts.Provenance {
-			if res, ok := opts.Cache.peek(cs.negFingerprint(constraint.Not{X: alpha}), root); ok {
-				return !res.Satisfiable, res, nil
-			}
-		}
-		// Derive compiles the identical neg schema (same content, same
-		// fingerprint) against the interned graph, with a per-alpha cache.
-		// A derive failure falls back to the interpreted engine rather
-		// than failing the query.
-		if dcs, derr := cs.Derive(constraint.Not{X: alpha}); derr == nil {
-			opts.Compiled = dcs
-			neg = dcs.Source()
-		} else {
-			opts.Compiled = nil
-		}
+	cs, err := compiledFor(ds, opts)
+	if err != nil {
+		return false, Result{}, err
 	}
-	res, err := SatisfiableContext(ctx, neg, root, opts)
+	var res Result
+	if cached(opts) {
+		if err := opts.Faults.Hit(faults.SiteCacheLookup); err != nil {
+			return false, Result{}, fmt.Errorf("core: sat-cache: %w", err)
+		}
+		var cancel context.CancelFunc
+		ctx, cancel = withOptionsDeadline(ctx, opts)
+		defer cancel()
+		if r, ok := ds.G.Intern(root); ok {
+			// An unknown root fails the compute and is never retained.
+			root = r
+		}
+		key := satCacheKey{
+			schema: fingerprintOf(ds, cs),
+			alpha:  sha256.Sum256([]byte(alpha.String())),
+			root:   root,
+		}
+		uncached := opts
+		uncached.Cache = nil
+		res, err = opts.Cache.lookup(ctx, key, func() (Result, error) {
+			return negationSearch(ctx, ds, cs, alpha, root, uncached)
+		})
+	} else {
+		res, err = negationSearch(ctx, ds, cs, alpha, root, opts)
+	}
 	if err != nil {
 		return false, res, err
 	}
 	return !res.Satisfiable, res, nil
+}
+
+// negationSearch runs the Theorem 2 search for ds ⊨ alpha: satisfiability
+// of root in (G, Σ ∪ {¬alpha}). On the compiled engine the negation schema
+// comes from cs.Derive (cached per alpha, content-identical to
+// ImpliesReduction's); a derive failure falls back to the interpreted
+// engine rather than failing the query.
+func negationSearch(ctx context.Context, ds *DimensionSchema, cs *Compiled, alpha constraint.Expr, root string, opts Options) (Result, error) {
+	neg := constraint.Not{X: alpha}
+	opts.Compiled = nil
+	if cs != nil {
+		if dcs, err := cs.Derive(neg); err == nil {
+			opts.Compiled = dcs
+			return SatisfiableContext(ctx, dcs.Source(), root, opts)
+		}
+	}
+	return SatisfiableContext(ctx, negationSchema(ds, neg), root, opts)
+}
+
+// negationSchema is (G, Σ ∪ {neg}).
+func negationSchema(ds *DimensionSchema, neg constraint.Expr) *DimensionSchema {
+	return &DimensionSchema{
+		G:     ds.G,
+		Sigma: append(append([]constraint.Expr(nil), ds.Sigma...), neg),
+	}
 }
 
 // ImpliesReduction builds the Theorem 2 reduction for ds ⊨ alpha without
@@ -76,21 +111,14 @@ func ImpliesContext(ctx context.Context, ds *DimensionSchema, alpha constraint.E
 // the satisfiability run on neg (checkpointed jobs) can rebuild the same
 // neg schema — same fingerprint — and resume against it.
 func ImpliesReduction(ds *DimensionSchema, alpha constraint.Expr) (neg *DimensionSchema, root string, verdict, decided bool, err error) {
-	if err := constraint.Validate(alpha, ds.G); err != nil {
-		return nil, "", false, false, err
-	}
-	root, err = constraint.Root(alpha)
+	root, err = constraint.ValidateRoot(alpha, ds.G)
 	if err != nil {
 		return nil, "", false, false, err
 	}
 	if root == "" {
 		return nil, "", constraint.Eval(alpha, nil), true, nil
 	}
-	neg = &DimensionSchema{
-		G:     ds.G,
-		Sigma: append(append([]constraint.Expr(nil), ds.Sigma...), constraint.Not{X: alpha}),
-	}
-	return neg, root, false, false, nil
+	return negationSchema(ds, constraint.Not{X: alpha}), root, false, false, nil
 }
 
 // SummarizabilityReport details a schema-level summarizability test: one
@@ -148,9 +176,15 @@ func SummarizableContext(ctx context.Context, ds *DimensionSchema, c string, S [
 			return nil, fmt.Errorf("core: unknown category %q in source set", ci)
 		}
 	}
-	rep := &SummarizabilityReport{Target: c, From: append([]string(nil), S...)}
-	for _, cb := range ds.G.Bottoms() {
-		e := SummarizabilityConstraint(cb, c, S)
+	bottoms := ds.G.Bottoms()
+	rep := &SummarizabilityReport{
+		Target:    c,
+		From:      append([]string(nil), S...),
+		PerBottom: make([]BottomResult, 0, len(bottoms)),
+	}
+	ss := sortedCopy(S)
+	for _, cb := range bottoms {
+		e := summarizabilityConstraint(cb, c, ss)
 		implied, res, err := ImpliesContext(ctx, ds, e, opts)
 		if err != nil {
 			return nil, err

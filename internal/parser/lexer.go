@@ -221,6 +221,21 @@ func (l *lexer) lexString() error {
 	return &Error{Src: l.src, Pos: start, Msg: "unterminated string"}
 }
 
+// punctKinds maps each single-byte punctuation token to its kind; bytes
+// that start no such token map to tokEOF.
+var punctKinds = [256]tokenKind{
+	'_': tokUnderscore,
+	'.': tokDot,
+	'=': tokEq,
+	'!': tokNot,
+	'&': tokAnd,
+	'|': tokOr,
+	'^': tokXor,
+	'(': tokLParen,
+	')': tokRParen,
+	',': tokComma,
+}
+
 func (l *lexer) lexPunct() error {
 	start := l.pos
 	rest := l.src[l.pos:]
@@ -247,20 +262,8 @@ func (l *lexer) lexPunct() error {
 		l.pos++
 		l.lexNumber(start)
 	default:
-		kinds := map[byte]tokenKind{
-			'_': tokUnderscore,
-			'.': tokDot,
-			'=': tokEq,
-			'!': tokNot,
-			'&': tokAnd,
-			'|': tokOr,
-			'^': tokXor,
-			'(': tokLParen,
-			')': tokRParen,
-			',': tokComma,
-		}
-		k, ok := kinds[rest[0]]
-		if !ok {
+		k := punctKinds[rest[0]]
+		if k == tokEOF {
 			return &Error{Src: l.src, Pos: start, Msg: fmt.Sprintf("unexpected character %q", rest[0])}
 		}
 		l.pos++

@@ -122,6 +122,18 @@ func (s *Schema) HasCategory(c string) bool {
 	return ok
 }
 
+// Intern returns the schema's own copy of category name c, and whether c
+// is a category at all. Long-lived keys built from the result share the
+// schema's string instead of pinning the caller's buffer (a request body
+// or URL the name was sliced from).
+func (s *Schema) Intern(c string) (string, bool) {
+	i, ok := s.index[c]
+	if !ok {
+		return "", false
+	}
+	return s.cats[i], true
+}
+
 // HasEdge reports whether c ↗ c' is an edge of the schema.
 func (s *Schema) HasEdge(c, parent string) bool {
 	for _, p := range s.out[c] {

@@ -132,7 +132,8 @@ type Explanation = core.Explanation
 type ShrinkProbe = core.ShrinkProbe
 
 // SatCache memoizes satisfiability results across calls and goroutines,
-// keyed by (schema fingerprint, root category). Install one in
+// keyed by (schema fingerprint, root category), and implication verdicts,
+// keyed by (schema fingerprint, constraint, root). Install one in
 // Options.Cache to solve repeated roots once.
 type SatCache = core.SatCache
 
